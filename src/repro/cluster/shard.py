@@ -15,10 +15,13 @@ Recovery is **snapshot + tail-replay, never a cold start**: the
 newest verified snapshot restores the bulk of the state
 (:meth:`SchedulerService.import_state`), then every WAL record with
 ``seq >= snapshot.wal_seq`` is folded in through
-:meth:`SchedulerService.replay_record`.  The new incarnation's event
-log continues the WAL sequence (``seq_start``), so the log stays one
-monotone history across restarts and the *next* recovery can do the
-same dance.
+:meth:`SchedulerService.replay_record`, which applies the same
+state transition the live service ran when it wrote the record
+(replica leases included, so a replica holder can still finish a task
+whose primary lapsed or disconnected before the crash).  The new
+incarnation's event log continues the WAL sequence (``seq_start``),
+so the log stays one monotone history across restarts and the *next*
+recovery can do the same dance.
 
 Durability contract: WAL records are flushed to the OS before the
 mutation they describe is acked on the wire (``auto_flush``), which

@@ -27,6 +27,16 @@ testable without sockets:
   with ``draining``, and report idle once the last outstanding
   completion lands (or lease expires).
 
+Every state change lives in one private *transition* method per
+WAL record kind (``_admit``, ``_grant_lease``, ``_complete``,
+``_drop_lease``, ``_apply_delta`` and the ``steal-*`` ones).  A
+transition only changes state: no stats, no events, no parked-pull
+servicing, no RNG.  A live entry point validates, decides, calls the
+transition, then does its stats, emission and parked-pull servicing.
+:meth:`SchedulerService.replay_record` folds a WAL record through the
+very transition that wrote it, so crash replay cannot drift from the
+live service — replica leases included.
+
 Everything is single-threaded: callers (the asyncio event loop, or a
 test) serialize calls.  Replies to parked requests are delivered
 through the ``deliver`` callback handed to ``request_task``: it
@@ -40,8 +50,8 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Callable, Deque, Dict, Iterable, List, Optional, Set,
+                    Tuple, Union)
 
 from ..core.metrics import FAST_SCORERS
 from ..core.policy_engine import PolicyEngine, SiteFileState
@@ -391,7 +401,7 @@ class SchedulerService:
         if (self._admission_watermark is not None
                 and self.queue_depth + len(tasks_payload)
                 > self._admission_watermark):
-            self.stats.admission_rejections += 1
+            self.stats.counters["admission_rejections"].inc()
             raise AdmissionRejected(self._admission_retry_after)
         tasks: List[Task] = []
         for spec in tasks_payload:
@@ -406,25 +416,20 @@ class SchedulerService:
             if (isinstance(flops, bool)
                     or not isinstance(flops, (int, float)) or flops < 0):
                 raise ServiceError("'flops' must be a number >= 0")
-            tasks.append(Task(task_id=self._next_task_id,
-                              files=frozenset(files), flops=float(flops)))
+            tasks.append(_spec_task(self._next_task_id, spec))
             self._next_task_id += self._id_stride
-        if job_id is None:
+        new_job = job_id is None
+        if new_job:
             job_id = self._next_job_id
             self._next_job_id += self._id_stride
-            self._jobs[job_id] = _JobState(job_id)
-            self.stats.jobs_submitted += 1
-        job = self._jobs[job_id]
+        self._admit((job_id, task) for task in tasks)
         if weight is not None:
-            job.weight = float(weight)
+            self._jobs[job_id].weight = float(weight)
             self._weighted = True
-        for task in tasks:
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task.task_id)
-            job.pending.add(task.task_id)
-            self._task_job[task.task_id] = job_id
-        self.stats.tasks_submitted += len(tasks)
+        counters = self.stats.counters
+        if new_job:
+            counters["jobs_submitted"].inc()
+        counters["tasks_submitted"].inc(len(tasks))
         self.stats.record_queue_depth(self.queue_depth)
         extra = {}
         if self.wal_events:
@@ -436,6 +441,43 @@ class SchedulerService:
         self._service_parked()
         return {"job_id": job_id,
                 "task_ids": [task.task_id for task in tasks]}
+
+    def _admit(self, entries: Iterable[Tuple[int, Task]],
+               origin: Optional[int] = None) -> int:
+        """Transition for ``submit`` (and ``steal-import-commit``).
+
+        Makes each ``(job_id, task)`` schedulable, opening the job on
+        first sight; a task id already known is skipped.  Local jobs
+        keep the id allocators past every admitted id.  Stolen tasks
+        (``origin`` set) keep their foreign ids — shard id striding
+        keeps those disjoint from anything allocated here, so the
+        allocators are deliberately left alone — and their job shell
+        is marked foreign, so its completions forward home.  Returns
+        how many tasks were admitted.
+        """
+        admitted = 0
+        for job_id, task in entries:
+            task_id = task.task_id
+            if task_id in self._task_job:
+                continue
+            job = self._jobs.get(job_id)
+            if job is None:
+                job = self._jobs[job_id] = _JobState(job_id)
+                if origin is None:
+                    self._next_job_id = max(self._next_job_id,
+                                            job_id + self._id_stride)
+                else:
+                    self._foreign_jobs[job_id] = origin
+            if origin is None:
+                self._next_task_id = max(self._next_task_id,
+                                         task_id + self._id_stride)
+            self._table.add(task)
+            self.engine.add_task(task)
+            job.task_ids.add(task_id)
+            job.pending.add(task_id)
+            self._task_job[task_id] = job_id
+            admitted += 1
+        return admitted
 
     def job_status(self, job_id: int) -> Dict:
         """The ``JOB_STATUS`` snapshot for one job."""
@@ -584,22 +626,16 @@ class SchedulerService:
         task = self.engine.choose(site_id, eligible=eligible)
         latency = self._clock() - start
         overlap = self.engine.overlap(site_id, task.task_id)
-        self.engine.remove_task(task)
+        lease = self._grant_lease(task.task_id, self._next_lease_id,
+                                  worker, site_id, granted_at=start)
         owner_id = self._task_job[task.task_id]
-        owner = self._jobs[owner_id]
-        owner.pending.discard(task.task_id)
-        owner.assigned += 1
-        lease = _Lease(self._next_lease_id, task.task_id, worker,
-                       site_id, self._clock() + self.lease_ttl,
-                       granted_at=start)
-        self._next_lease_id += 1
-        self._assigned[task.task_id] = lease
-        self._leases[lease.lease_id] = lease
-        self._by_worker.setdefault(worker, set()).add(task.task_id)
+        # Fair-share pass count: feeds the next weighted pick, like
+        # the RNG it is decision state, not replayed schedule state.
+        self._jobs[owner_id].assigned += 1
         self.stats.record_assignment(site_id, latency, overlap > 0,
                                      metric=self.engine.metric_name)
         self.stats.record_tenant_assignment(owner_id)
-        self.stats.leases_granted += 1
+        self.stats.counters["leases_granted"].inc()
         self._emit("assign", task_id=task.task_id, site=site_id,
                    worker=worker, job_id=owner_id,
                    lease_id=lease.lease_id, overlap=overlap,
@@ -643,17 +679,11 @@ class SchedulerService:
                 best = primary
         if best is None:
             return False
-        now = self._clock()
-        lease = _Lease(self._next_lease_id, best.task_id, entry.worker,
-                       entry.site_id, now + self.lease_ttl,
-                       granted_at=now)
-        self._next_lease_id += 1
-        self._leases[lease.lease_id] = lease
-        self._replicas.setdefault(best.task_id, []).append(lease)
-        self._by_worker.setdefault(entry.worker, set()).add(
-            best.task_id)
-        self.stats.task_replications += 1
-        self.stats.leases_granted += 1
+        lease = self._grant_lease(best.task_id, self._next_lease_id,
+                                  entry.worker, entry.site_id,
+                                  replica=True, granted_at=self._clock())
+        self.stats.counters["task_replications"].inc()
+        self.stats.counters["leases_granted"].inc()
         owner_id = self._task_job[best.task_id]
         self._emit("assign", task_id=best.task_id, site=entry.site_id,
                    worker=entry.worker, job_id=owner_id,
@@ -694,37 +724,58 @@ class SchedulerService:
         """
         if not protocol.is_int(task_id) or task_id not in self._task_job:
             raise ServiceError(f"unknown task id {task_id!r}")
+        counters = self.stats.counters
         lease = self._leases.get(lease_id)
         if lease is None or lease.task_id != task_id:
             if task_id in self._completed:
-                self.stats.duplicate_completions += 1
+                counters["duplicate_completions"].inc()
                 return CompletionResult(False, "already-complete")
-            self.stats.stale_completions += 1
+            counters["stale_completions"].inc()
             return CompletionResult(False, "stale-lease")
         if self._assigned.get(task_id) is not lease:
-            self.stats.replica_wins += 1
-        self._release_task_leases(task_id)
-        self._completed.add(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        job.completed.add(task_id)
-        origin = self._foreign_jobs.get(job.job_id)
-        if origin is None:
-            self.stats.completions += 1
+            counters["replica_wins"].inc()
+        job = self._complete(task_id)
+        if job.job_id not in self._foreign_jobs:
+            counters["completions"].inc()
             self._emit("complete", task_id=task_id, worker=worker,
                        job_id=job.job_id, lease_id=lease_id)
             if job.done:
-                self.stats.jobs_completed += 1
+                counters["jobs_completed"].inc()
         else:
             # Stolen task: the owning shard keeps the canonical
-            # ``complete`` record and the per-job counters.  Record
-            # the thief-side marker and queue the id for forwarding.
+            # ``complete`` record and the per-job counters; the
+            # thief-side marker goes with the id queued for forwarding.
             self._emit("steal-task-done", task_id=task_id,
                        worker=worker, job_id=job.job_id,
                        lease_id=lease_id)
-            self._steal_outbox.setdefault(origin, []).append(task_id)
         self._service_parked()
         self._maybe_drained()
         return CompletionResult(True)
+
+    def _complete(self, task_id: int) -> Optional[_JobState]:
+        """Transition for ``complete`` and ``steal-task-done``.
+
+        Releases every lease on the task (or pulls it out of the
+        pending set: a forwarded completion can land on a task that
+        was requeued meanwhile — the worker was told it is done, so
+        the completion wins), retires its export entry, and queues a
+        stolen task's id for forwarding home.  Returns the owning
+        job, or None when the task was already complete.
+        """
+        if task_id in self._completed:
+            return None
+        self._release_task_leases(task_id)
+        if self.engine.is_pending(task_id):
+            self.engine.remove_task(self._table[task_id])
+        self._completed.add(task_id)
+        job = self._jobs[self._task_job[task_id]]
+        job.pending.discard(task_id)
+        job.completed.add(task_id)
+        self._clear_export_entry(task_id)
+        origin = self._foreign_jobs.get(job.job_id)
+        if origin is not None:
+            self._steal_outbox.setdefault(origin, []).append(task_id)
+        return job
 
     def _release_lease(self, lease: _Lease) -> None:
         if self._assigned.get(lease.task_id) is lease:
@@ -763,6 +814,68 @@ class SchedulerService:
         return lease
 
     # -- leases ----------------------------------------------------------
+    def _grant_lease(self, task_id: int, lease_id: int, worker: str,
+                     site_id: int, replica: bool = False,
+                     granted_at: float = 0.0) -> Optional[_Lease]:
+        """Transition for ``assign``: put a task under a fresh lease.
+
+        A primary lease takes the task out of the pending set; a
+        replica lease rides alongside the task's live primary.  The
+        deadline is always a fresh TTL (monotonic clocks do not
+        survive a restart).  Returns None when the grant already took
+        effect: the task is complete, the lease id is taken, or the
+        primary slot is not as the grant needs it (a primary needs it
+        free, a replica needs it held).
+        """
+        if task_id not in self._task_job:
+            raise ServiceError(f"assign record for unknown task {task_id}")
+        if (task_id in self._completed or lease_id in self._leases
+                or (task_id in self._assigned) != replica):
+            return None
+        self.ensure_site(site_id)
+        lease = _Lease(lease_id, task_id, worker, site_id,
+                       self._clock() + self.lease_ttl,
+                       granted_at=granted_at)
+        self._next_lease_id = max(self._next_lease_id, lease_id + 1)
+        self._leases[lease_id] = lease
+        self._by_worker.setdefault(worker, set()).add(task_id)
+        if replica:
+            self._replicas.setdefault(task_id, []).append(lease)
+        else:
+            if self.engine.is_pending(task_id):
+                self.engine.remove_task(self._table[task_id])
+            self._jobs[self._task_job[task_id]].pending.discard(task_id)
+            self._assigned[task_id] = lease
+        return lease
+
+    def _held_leases(self, worker: str, task_id: int) -> List[_Lease]:
+        """The primary or replica lease ``worker`` holds on a task."""
+        return [lease for lease in (self._assigned.get(task_id),
+                                    *self._replicas.get(task_id, ()))
+                if lease is not None and lease.worker == worker]
+
+    def _drop_lease(self, lease: Optional[_Lease]) -> Optional[bool]:
+        """Transition for ``lease-expire`` and ``requeue``: end a lease.
+
+        A dropped primary hands its task to the oldest live replica
+        (still computing, so requeueing would start a third copy) or,
+        with none, back to the pending set; a dropped replica just
+        goes away.  Returns True when the task was requeued, False
+        when it was not, None when there was no lease to drop.
+        """
+        if lease is None:
+            return None
+        primary = self._assigned.get(lease.task_id) is lease
+        self._release_lease(lease)
+        if not primary or self._promote_replica(lease.task_id):
+            return False
+        self._requeue(lease.task_id)
+        return True
+
+    def _requeue(self, task_id: int) -> None:
+        self.engine.add_task(self._table[task_id])
+        self._jobs[self._task_job[task_id]].pending.add(task_id)
+
     def heartbeat(self, worker: str,
                   lease_ids: Optional[List[int]] = None,
                   ) -> Tuple[List[int], List[int]]:
@@ -775,17 +888,10 @@ class SchedulerService:
         """
         now = self._clock()
         if lease_ids is None:
-            lease_ids = []
-            for task_id in self._by_worker.get(worker, set()):
-                primary = self._assigned.get(task_id)
-                if primary is not None and primary.worker == worker:
-                    lease_ids.append(primary.lease_id)
-                    continue
-                lease_ids.extend(
-                    replica.lease_id
-                    for replica in self._replicas.get(task_id, ())
-                    if replica.worker == worker)
-            lease_ids.sort()
+            lease_ids = sorted(
+                lease.lease_id
+                for task_id in self._by_worker.get(worker, set())
+                for lease in self._held_leases(worker, task_id))
         renewed: List[int] = []
         gone: List[int] = []
         for lease_id in lease_ids:
@@ -795,51 +901,44 @@ class SchedulerService:
             else:
                 lease.expires_at = now + self.lease_ttl
                 renewed.append(lease_id)
-        self.stats.lease_renewals += len(renewed)
+        self.stats.counters["lease_renewals"].inc(len(renewed))
         return renewed, gone
 
     def expire_leases(self, now: Optional[float] = None) -> int:
         """Requeue tasks whose lease lapsed; returns how many expired.
 
         The server calls this from a periodic sweeper; tests drive it
-        directly with a fake clock.
+        directly with a fake clock.  A lapsed primary with a live
+        replica promotes it instead of requeueing; lapsed replicas
+        are collected after that, so a just-promoted replica gets
+        until the next sweep.
         """
         now = self._clock() if now is None else now
         lapsed = [lease for lease in self._assigned.values()
                   if lease.expires_at <= now]
-        requeued = 0
-        for lease in lapsed:
-            self._release_lease(lease)
-            self.stats.lease_expiries += 1
-            self._emit("lease-expire", task_id=lease.task_id,
-                       lease_id=lease.lease_id, worker=lease.worker)
-            if self._promote_replica(lease.task_id) is not None:
-                continue  # a replica is still computing the task
-            self._requeue(lease.task_id)
-            requeued += 1
-            self._emit("requeue", task_id=lease.task_id,
-                       reason="lease-expired")
-        # Replica leases lapse quietly: the primary still covers the
-        # task, so an expired replica is dropped without a requeue.
+        requeued = sum(self._expire(lease) for lease in lapsed)
         lapsed_replicas = [
             replica for replicas in self._replicas.values()
             for replica in replicas if replica.expires_at <= now]
         for replica in lapsed_replicas:
-            self._release_lease(replica)
-            self.stats.lease_expiries += 1
-            self._emit("lease-expire", task_id=replica.task_id,
-                       lease_id=replica.lease_id,
-                       worker=replica.worker)
+            self._expire(replica)
         if lapsed or lapsed_replicas:
-            self.stats.requeues += requeued
+            self.stats.counters["requeues"].inc(requeued)
             self.stats.record_queue_depth(self.queue_depth)
             self._service_parked()
             self._maybe_drained()
         return len(lapsed) + len(lapsed_replicas)
 
-    def _requeue(self, task_id: int) -> None:
-        self.engine.add_task(self._table[task_id])
-        self._jobs[self._task_job[task_id]].pending.add(task_id)
+    def _expire(self, lease: _Lease) -> bool:
+        """Drop one lapsed lease, record it; True when requeued."""
+        requeued = self._drop_lease(lease)
+        self.stats.counters["lease_expiries"].inc()
+        self._emit("lease-expire", task_id=lease.task_id,
+                   lease_id=lease.lease_id, worker=lease.worker)
+        if requeued:
+            self._emit("requeue", task_id=lease.task_id,
+                       reason="lease-expired")
+        return requeued
 
     # -- file-state deltas ----------------------------------------------
     def file_delta(self, site_id: int, added: List[int],
@@ -851,15 +950,8 @@ class SchedulerService:
         simulator's storage emits.  Redundant adds/removes (two workers
         sharing a site) are idempotent no-ops.
         """
-        self.ensure_site(site_id)
-        duplicate_removes = sum(
-            0 if self.engine.file_removed(site_id, fid) else 1
-            for fid in removed)
-        duplicate_adds = sum(
-            0 if self.engine.file_added(site_id, fid) else 1
-            for fid in added)
-        for fid in referenced:
-            self.engine.file_referenced(site_id, fid)
+        duplicate_adds, duplicate_removes = self._apply_delta(
+            site_id, added, removed, referenced)
         self.stats.record_delta(len(added), len(removed), len(referenced),
                                 duplicate_adds=duplicate_adds,
                                 duplicate_removes=duplicate_removes)
@@ -874,6 +966,22 @@ class SchedulerService:
                    duplicates=duplicate_adds + duplicate_removes,
                    **extra)
 
+    def _apply_delta(self, site_id: int, added: List[int],
+                     removed: List[int],
+                     referenced: List[int]) -> Tuple[int, int]:
+        """Transition for ``delta``; returns the duplicate add/remove
+        counts (already-resident adds, already-gone removes)."""
+        self.ensure_site(site_id)
+        duplicate_removes = sum(
+            0 if self.engine.file_removed(site_id, fid) else 1
+            for fid in removed)
+        duplicate_adds = sum(
+            0 if self.engine.file_added(site_id, fid) else 1
+            for fid in added)
+        for fid in referenced:
+            self.engine.file_referenced(site_id, fid)
+        return duplicate_adds, duplicate_removes
+
     # -- lifecycle -------------------------------------------------------
     def disconnect(self, worker: str) -> int:
         """A worker's connection closed; requeue its assigned tasks.
@@ -881,35 +989,24 @@ class SchedulerService:
         Disconnect detection is instant requeue; the lease sweeper
         covers the harder case of a worker that stays connected (or
         whose TCP death goes unnoticed) but stops making progress.
+        A dropped lease that requeues nothing (a replica, or a
+        primary whose replica takes over) is logged as
+        ``lease-expire`` so that replay drops it too.
         """
         self._parked = deque(entry for entry in self._parked
                              if entry.worker != worker)
-        lost = self._by_worker.pop(worker, set())
         requeued = 0
-        for task_id in sorted(lost):
-            primary = self._assigned.get(task_id)
-            if primary is None or primary.worker != worker:
-                # The worker only held a replica: drop it, the
-                # primary still covers the task.
-                for replica in list(self._replicas.get(task_id, ())):
-                    if replica.worker == worker:
-                        replica_leases = self._replicas[task_id]
-                        replica_leases.remove(replica)
-                        if not replica_leases:
-                            del self._replicas[task_id]
-                        self._leases.pop(replica.lease_id, None)
-                continue
-            del self._assigned[task_id]
-            self._leases.pop(primary.lease_id, None)
-            if task_id not in self._completed:
-                if self._promote_replica(task_id) is not None:
-                    continue  # a replica is still computing the task
-                self._requeue(task_id)
-                requeued += 1
-                self._emit("requeue", task_id=task_id,
-                           reason="disconnect", worker=worker)
+        for task_id in sorted(self._by_worker.pop(worker, set())):
+            for lease in self._held_leases(worker, task_id):
+                if self._drop_lease(lease):
+                    requeued += 1
+                    self._emit("requeue", task_id=task_id,
+                               reason="disconnect", worker=worker)
+                else:
+                    self._emit("lease-expire", task_id=task_id,
+                               lease_id=lease.lease_id, worker=worker)
         if requeued:
-            self.stats.requeues += requeued
+            self.stats.counters["requeues"].inc(requeued)
             self.stats.record_queue_depth(self.queue_depth)
             self._service_parked()
         self._abort_exports_for(worker)
@@ -983,25 +1080,42 @@ class SchedulerService:
             self.stats.record_steal_request("empty")
             return None
         export_id = self._next_export_id
-        self._next_export_id += 1
-        specs: List[Dict] = []
-        for task_id in chosen:
-            task = self._table[task_id]
-            self.engine.remove_task(task)
-            job_id = self._task_job[task_id]
-            self._jobs[job_id].pending.discard(task_id)
-            self._exported_tasks[task_id] = export_id
-            specs.append({"task_id": task_id, "job_id": job_id,
-                          "files": sorted(task.files),
-                          "flops": task.flops})
-        self._steal_exports[export_id] = {
-            "thief": thief, "acked": False, "specs": specs,
-            "remaining": set(chosen)}
-        self.stats.tasks_exported += len(specs)
+        specs = [{"task_id": task_id, "job_id": self._task_job[task_id],
+                  "files": sorted(self._table[task_id].files),
+                  "flops": self._table[task_id].flops}
+                 for task_id in chosen]
+        self._detach_export(export_id, thief, specs)
+        self.stats.counters["tasks_exported"].inc(len(specs))
         self.stats.record_steal_request("granted")
         self._emit("steal-export", export_id=export_id, thief=thief,
                    specs=specs)
         return {"export_id": export_id, "tasks": specs}
+
+    def _detach_export(self, export_id: int, thief: str,
+                       specs: List[Dict]) -> bool:
+        """Transition for ``steal-export``: take tasks off the local
+        queue, held for ``thief`` until the export is acked, aborted
+        or completed.  False when the export id is already known."""
+        if export_id in self._steal_exports:
+            return False
+        remaining: Set[int] = set()
+        for spec in specs:
+            task_id = spec["task_id"]
+            if task_id in self._completed:
+                continue
+            remaining.add(task_id)
+            self._exported_tasks[task_id] = export_id
+            if self.engine.is_pending(task_id):
+                self.engine.remove_task(self._table[task_id])
+            job_id = self._task_job.get(task_id)
+            if job_id is not None:
+                self._jobs[job_id].pending.discard(task_id)
+        self._steal_exports[export_id] = {
+            "thief": thief, "acked": False,
+            "specs": [dict(spec) for spec in specs],
+            "remaining": remaining}
+        self._next_export_id = max(self._next_export_id, export_id + 1)
+        return True
 
     def _select_steal_tasks(self, budget: int,
                             site_refsums: List[Dict]) -> List[int]:
@@ -1051,12 +1165,18 @@ class SchedulerService:
         tentative import.  Idempotent — a re-ack after a thief crash
         gets the same answer.
         """
-        record = self._steal_exports.get(export_id)
-        if record is None:
+        if export_id not in self._steal_exports:
             return False
-        if not record["acked"]:
-            record["acked"] = True
+        if self._ack_export(export_id):
             self._emit("steal-export-ack", export_id=export_id)
+        return True
+
+    def _ack_export(self, export_id: int) -> bool:
+        """Transition for ``steal-export-ack``; False if no change."""
+        record = self._steal_exports.get(export_id)
+        if record is None or record["acked"]:
+            return False
+        record["acked"] = True
         return True
 
     def steal_done(self, task_ids: List[int], worker: str) -> Dict:
@@ -1069,29 +1189,21 @@ class SchedulerService:
         and change nothing: the receiver is idempotent, so the
         thief's at-least-once forwarding is exactly-once end to end.
         """
+        counters = self.stats.counters
         completed = duplicates = 0
         for task_id in task_ids:
-            job_id = self._task_job.get(task_id)
-            if job_id is None:
+            if task_id not in self._task_job:
                 raise ServiceError(f"unknown task id {task_id!r}")
-            if task_id in self._completed:
-                self.stats.duplicate_completions += 1
+            job = self._complete(task_id)
+            if job is None:
+                counters["duplicate_completions"].inc()
                 duplicates += 1
                 continue
-            self._clear_export_entry(task_id)
-            if task_id in self._assigned:
-                self._release_task_leases(task_id)
-            elif self.engine.is_pending(task_id):
-                self.engine.remove_task(self._table[task_id])
-            job = self._jobs[job_id]
-            job.pending.discard(task_id)
-            self._completed.add(task_id)
-            job.completed.add(task_id)
-            self.stats.completions += 1
+            counters["completions"].inc()
             self._emit("complete", task_id=task_id, worker=worker,
-                       job_id=job_id)
+                       job_id=job.job_id)
             if job.done:
-                self.stats.jobs_completed += 1
+                counters["jobs_completed"].inc()
             completed += 1
         if completed:
             self._service_parked()
@@ -1120,11 +1232,23 @@ class SchedulerService:
             for export_id, record in self._steal_exports.items()
             if record["thief"] == worker and not record["acked"])
         for export_id in doomed:
-            self._abort_export(export_id)
+            requeued = self._drop_export(export_id)
+            self._emit("steal-export-abort", export_id=export_id)
+            if requeued:
+                self.stats.counters["requeues"].inc(requeued)
+                self.stats.record_queue_depth(self.queue_depth)
+                self._service_parked()
 
-    def _abort_export(self, export_id: int) -> int:
-        record = self._steal_exports.pop(export_id)
-        self._emit("steal-export-abort", export_id=export_id)
+    def _drop_export(self, export_id: int) -> Optional[int]:
+        """Transition for ``steal-export-abort``: reclaim an export.
+
+        Every still-remaining task that is neither complete, leased
+        nor pending goes back to the local queue.  Returns how many
+        were requeued, or None for an unknown export.
+        """
+        record = self._steal_exports.pop(export_id, None)
+        if record is None:
+            return None
         requeued = 0
         for task_id in sorted(record["remaining"]):
             self._exported_tasks.pop(task_id, None)
@@ -1133,10 +1257,6 @@ class SchedulerService:
                 continue
             self._requeue(task_id)
             requeued += 1
-        if requeued:
-            self.stats.requeues += requeued
-            self.stats.record_queue_depth(self.queue_depth)
-            self._service_parked()
         return requeued
 
     def requeue_unacked_exports(self) -> int:
@@ -1151,21 +1271,10 @@ class SchedulerService:
         and drop it.  Emits nothing: the fold is reproduced by the
         same call on the next recovery.
         """
-        requeued = 0
-        for export_id in sorted(self._steal_exports):
-            record = self._steal_exports[export_id]
-            if record["acked"]:
-                continue
-            del self._steal_exports[export_id]
-            for task_id in sorted(record["remaining"]):
-                self._exported_tasks.pop(task_id, None)
-                if (task_id in self._completed
-                        or task_id in self._assigned
-                        or self.engine.is_pending(task_id)):
-                    continue
-                self._requeue(task_id)
-                requeued += 1
-        return requeued
+        unacked = sorted(export_id for export_id, record
+                         in self._steal_exports.items()
+                         if not record["acked"])
+        return sum(self._drop_export(export_id) for export_id in unacked)
 
     def steal_import_tentative(self, origin: int, export_id: int,
                                specs: List[Dict]) -> None:
@@ -1176,12 +1285,19 @@ class SchedulerService:
         :meth:`steal_commit_import` — which requires the victim's
         acked answer — so a crash here can never double-run them.
         """
+        if self._hold_import(origin, export_id, specs):
+            self._emit("steal-import", origin=origin,
+                       export_id=export_id,
+                       specs=self._steal_imports[(origin, export_id)])
+
+    def _hold_import(self, origin: int, export_id: int,
+                     specs: List[Dict]) -> bool:
+        """Transition for ``steal-import``; False if already held."""
         key = (origin, export_id)
         if key in self._steal_imports:
-            return
+            return False
         self._steal_imports[key] = [dict(spec) for spec in specs]
-        self._emit("steal-import", origin=origin, export_id=export_id,
-                   specs=self._steal_imports[key])
+        return True
 
     def pending_steal_imports(self) -> List[Tuple[int, int]]:
         """Tentative imports awaiting the victim's answer (recovery)."""
@@ -1189,53 +1305,38 @@ class SchedulerService:
 
     def steal_commit_import(self, origin: int, export_id: int) -> int:
         """Thief: activate a tentative import the victim acked."""
-        specs = self._steal_imports.pop((origin, export_id), None)
-        if specs is None:
+        count = self._commit_import(origin, export_id)
+        if count is None:
             return 0
         self._emit("steal-import-commit", origin=origin,
                    export_id=export_id)
-        count = self._activate_import(origin, specs)
-        self.stats.tasks_stolen += count
+        self.stats.counters["tasks_stolen"].inc(count)
         self.stats.record_queue_depth(self.queue_depth)
         self._service_parked()
         return count
 
+    def _commit_import(self, origin: int,
+                       export_id: int) -> Optional[int]:
+        """Transition for ``steal-import-commit``: activate a held
+        import under its original (foreign) ids; returns how many
+        tasks became schedulable, or None when nothing was held."""
+        specs = self._steal_imports.pop((origin, export_id), None)
+        if specs is None:
+            return None
+        return self._admit(((spec["job_id"],
+                             _spec_task(spec["task_id"], spec))
+                            for spec in specs), origin=origin)
+
     def steal_abort_import(self, origin: int, export_id: int) -> None:
         """Thief: drop a tentative import the victim refused."""
-        if self._steal_imports.pop((origin, export_id),
-                                   None) is not None:
+        if self._drop_import(origin, export_id):
             self._emit("steal-import-abort", origin=origin,
                        export_id=export_id)
 
-    def _activate_import(self, origin: int, specs: List[Dict]) -> int:
-        """Add stolen tasks under their original (foreign) ids.
-
-        Shard id striding keeps foreign ids disjoint from anything
-        this service allocates, so the id counters are deliberately
-        *not* advanced.  The foreign job shell tracks only the stolen
-        tasks; its completions forward home instead of counting here.
-        """
-        count = 0
-        for spec in specs:
-            task_id = spec["task_id"]
-            if task_id in self._task_job:
-                continue  # idempotent re-activation
-            job_id = spec["job_id"]
-            job = self._jobs.get(job_id)
-            if job is None:
-                job = _JobState(job_id)
-                self._jobs[job_id] = job
-                self._foreign_jobs[job_id] = origin
-            task = Task(task_id=task_id,
-                        files=frozenset(spec["files"]),
-                        flops=float(spec.get("flops", 0.0)))
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task_id)
-            job.pending.add(task_id)
-            self._task_job[task_id] = job_id
-            count += 1
-        return count
+    def _drop_import(self, origin: int, export_id: int) -> bool:
+        """Transition for ``steal-import-abort``; False if not held."""
+        return self._steal_imports.pop((origin, export_id),
+                                       None) is not None
 
     def take_steal_completions(self) -> Dict[int, List[int]]:
         """Snapshot (without clearing) the forwarding outbox.
@@ -1250,21 +1351,25 @@ class SchedulerService:
 
     def steal_forwarded(self, origin: int, task_ids: List[int]) -> None:
         """Thief: the origin acked these forwarded completions."""
-        queue = self._steal_outbox.get(origin)
-        if not queue:
-            return
+        forwarded = self._trim_outbox(origin, task_ids)
+        if forwarded:
+            self._emit("steal-forwarded", task_ids=forwarded,
+                       origin=origin)
+            self._maybe_drained()
+
+    def _trim_outbox(self, origin: int, task_ids: List[int]) -> List[int]:
+        """Transition for ``steal-forwarded``: drop delivered ids from
+        ``origin``'s outbox; returns the ids actually dropped."""
+        queue = self._steal_outbox.get(origin, [])
         delivered = set(task_ids)
         forwarded = [tid for tid in queue if tid in delivered]
-        if not forwarded:
-            return
-        kept = [tid for tid in queue if tid not in delivered]
-        if kept:
-            self._steal_outbox[origin] = kept
-        else:
-            del self._steal_outbox[origin]
-        self._emit("steal-forwarded", task_ids=forwarded,
-                   origin=origin)
-        self._maybe_drained()
+        if forwarded:
+            kept = [tid for tid in queue if tid not in delivered]
+            if kept:
+                self._steal_outbox[origin] = kept
+            else:
+                del self._steal_outbox[origin]
+        return forwarded
 
     # -- observability ---------------------------------------------------
     def stats_snapshot(self) -> Dict:
@@ -1289,8 +1394,11 @@ class SchedulerService:
     def export_state(self) -> Dict:
         """Everything a restarted shard needs, as JSON-native data.
 
-        Captures the task table, per-job progress, outstanding leases,
-        per-site file state and the engine's RNG stream.  Lease
+        Captures the task table, per-job progress, outstanding leases
+        (replica leases only while any exist, so a replica-free
+        service exports the same bytes as before replicas were
+        snapshotted), per-site file state and the engine's RNG
+        stream.  Lease
         *deadlines* are deliberately not exported: a restore re-arms
         every outstanding lease with a fresh TTL (monotonic clocks do
         not survive a process), which can only delay a requeue, never
@@ -1300,8 +1408,6 @@ class SchedulerService:
         engine = self.engine
         rng_state = engine.rng.getstate()
         tasks = sorted(self._table, key=lambda task: task.task_id)
-        assigned = [self._assigned[task_id]
-                    for task_id in sorted(self._assigned)]
         state = {
             "version": self.STATE_VERSION,
             "metric": engine.metric_name,
@@ -1320,13 +1426,18 @@ class SchedulerService:
             "jobs": [[job_id, sorted(job.task_ids),
                       sorted(job.completed)]
                      for job_id, job in sorted(self._jobs.items())],
-            "assigned": [[lease.task_id, lease.lease_id, lease.worker,
-                          lease.site_id] for lease in assigned],
+            "assigned": [_lease_row(self._assigned[task_id])
+                         for task_id in sorted(self._assigned)],
             "completed": sorted(self._completed),
             "sites": [[site_id, engine.site_state(site_id).export()]
                       for site_id in sorted(engine.site_ids)],
             "draining": self._draining,
         }
+        if self._replicas:
+            # Oldest first per task: promotion order survives.
+            state["replicas"] = [_lease_row(lease)
+                                 for task_id in sorted(self._replicas)
+                                 for lease in self._replicas[task_id]]
         steal = self._export_steal_state()
         if steal:
             # Only present once stealing has actually moved something,
@@ -1421,14 +1532,11 @@ class SchedulerService:
                     pending.append(task_id)
         for task_id in sorted(pending):
             engine.add_task(self._table[task_id])
-        now = self._clock()
-        for task_id, lease_id, worker, site_id in state["assigned"]:
-            self.ensure_site(site_id)
-            lease = _Lease(lease_id, task_id, worker, site_id,
-                           now + self.lease_ttl)
-            self._assigned[task_id] = lease
-            self._leases[lease_id] = lease
-            self._by_worker.setdefault(worker, set()).add(task_id)
+        # Rows are ``_lease_row`` shaped: task, lease id, worker, site.
+        for row in state["assigned"]:
+            self._grant_lease(*row)
+        for row in state.get("replicas", []):
+            self._grant_lease(*row, replica=True)
         self._completed = completed
         self._next_task_id = state["next_task_id"]
         self._next_job_id = state["next_job_id"]
@@ -1459,232 +1567,89 @@ class SchedulerService:
     def replay_record(self, record: Dict) -> bool:
         """Re-apply one WAL record emitted by a ``wal_events`` service.
 
-        Returns True when the record mutated state (``decision``
-        records and redundant/duplicate records do not).  Replay is a
-        pure state fold: nothing is emitted, no parked request is
-        answered, stats counters stay untouched — the caller attaches
-        the live event log only after the tail is folded in.  Leases
-        recreated for in-flight assignments get a fresh TTL; the
-        worker either reconnects and completes under its original
+        Each state-bearing kind maps to the one transition method the
+        live path ran when it wrote the record (see :data:`_REPLAY`),
+        so replay cannot drift from live service.  Returns True when
+        the record changed state (``decision`` records and redundant
+        or duplicate records do not).  Replay is a pure state fold:
+        transitions emit nothing, answer no parked request and leave
+        the stats counters alone — the caller attaches the live event
+        log only after the tail is folded in.  Leases recreated for
+        in-flight assignments (replicas included) get a fresh TTL;
+        the worker either reconnects and completes under its original
         lease id, or the sweeper requeues the task — exactly-once
         either way.
         """
-        kind = record.get("event")
-        if kind == "submit":
-            return self._replay_submit(record)
-        if kind == "assign":
-            return self._replay_assign(record)
-        if kind == "complete":
-            return self._replay_complete(record)
-        if kind == "lease-expire":
-            lease = self._leases.get(record["lease_id"])
-            if lease is None or lease.task_id != record["task_id"]:
-                return False
-            self._release_lease(lease)
-            return True
-        if kind == "requeue":
-            return self._replay_requeue(record)
-        if kind == "delta":
-            return self._replay_delta(record)
-        if kind == "steal-export":
-            return self._replay_steal_export(record)
-        if kind == "steal-export-ack":
-            export = self._steal_exports.get(record["export_id"])
-            if export is None or export["acked"]:
-                return False
-            export["acked"] = True
-            return True
-        if kind == "steal-export-abort":
-            return self._replay_steal_export_abort(record)
-        if kind == "steal-import":
-            key = (record["origin"], record["export_id"])
-            if key in self._steal_imports:
-                return False
-            self._steal_imports[key] = [dict(spec)
-                                        for spec in record["specs"]]
-            return True
-        if kind == "steal-import-commit":
-            specs = self._steal_imports.pop(
-                (record["origin"], record["export_id"]), None)
-            if specs is None:
-                return False
-            self._activate_import(record["origin"], specs)
-            return True
-        if kind == "steal-import-abort":
-            return self._steal_imports.pop(
-                (record["origin"], record["export_id"]),
-                None) is not None
-        if kind == "steal-task-done":
-            return self._replay_steal_task_done(record)
-        if kind == "steal-forwarded":
-            return self._replay_steal_forwarded(record)
-        return False  # decision spans and unknown kinds: no state
+        apply = _REPLAY.get(record.get("event"))
+        return apply is not None and bool(apply(self, record))
 
-    def _replay_submit(self, record: Dict) -> bool:
-        specs = record.get("specs")
-        task_ids = record.get("task_ids")
-        if specs is None or task_ids is None:
-            raise ServiceError(
-                "submit record lacks 'specs'/'task_ids' — this event "
-                "log was not written in WAL mode")
-        job_id = record["job_id"]
-        job = self._jobs.get(job_id)
-        if job is None:
-            job = _JobState(job_id)
-            self._jobs[job_id] = job
-        for task_id, spec in zip(task_ids, specs):
-            if task_id in self._task_job:
-                continue  # idempotent re-replay
-            task = Task(task_id=task_id,
-                        files=frozenset(spec["files"]),
-                        flops=float(spec.get("flops", 0.0)))
-            self._table.add(task)
-            self.engine.add_task(task)
-            job.task_ids.add(task_id)
-            job.pending.add(task_id)
-            self._task_job[task_id] = job_id
-            self._next_task_id = max(self._next_task_id,
-                                     task_id + self._id_stride)
-        self._next_job_id = max(self._next_job_id,
-                                job_id + self._id_stride)
-        return True
 
-    def _replay_assign(self, record: Dict) -> bool:
-        if record.get("replica"):
-            # Replica leases are a live-tail optimisation only; the
-            # primary assign record already covers the task.
-            return False
-        task_id = record["task_id"]
-        if task_id not in self._task_job:
-            raise ServiceError(
-                f"assign record for unknown task {task_id}")
-        if task_id in self._completed or task_id in self._assigned:
-            return False
-        if self.engine.is_pending(task_id):
-            self.engine.remove_task(self._table[task_id])
-        self._jobs[self._task_job[task_id]].pending.discard(task_id)
-        lease = _Lease(record["lease_id"], task_id, record["worker"],
-                       record["site"], self._clock() + self.lease_ttl)
-        self.ensure_site(lease.site_id)
-        self._assigned[task_id] = lease
-        self._leases[lease.lease_id] = lease
-        self._by_worker.setdefault(lease.worker, set()).add(task_id)
-        self._next_lease_id = max(self._next_lease_id,
-                                  lease.lease_id + 1)
-        return True
+def _spec_task(task_id: int, spec: Dict) -> Task:
+    return Task(task_id=task_id, files=frozenset(spec["files"]),
+                flops=float(spec.get("flops", 0.0)))
 
-    def _replay_complete(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        if task_id in self._completed:
-            return False
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            self._release_lease(lease)
-        elif self.engine.is_pending(task_id):
-            # complete raced a requeue in the original run order;
-            # honor the completion, it is what the worker was told.
-            self.engine.remove_task(self._table[task_id])
-        self._completed.add(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        job.pending.discard(task_id)
-        job.completed.add(task_id)
-        # A forwarded completion of an exported task also retires the
-        # export bookkeeping, exactly as the live steal_done did.
-        self._clear_export_entry(task_id)
-        return True
 
-    def _replay_steal_export(self, record: Dict) -> bool:
-        export_id = record["export_id"]
-        if export_id in self._steal_exports:
-            return False
-        specs = [dict(spec) for spec in record["specs"]]
-        remaining: Set[int] = set()
-        for spec in specs:
-            task_id = spec["task_id"]
-            if task_id in self._completed:
-                continue
-            remaining.add(task_id)
-            self._exported_tasks[task_id] = export_id
-            if self.engine.is_pending(task_id):
-                self.engine.remove_task(self._table[task_id])
-            job_id = self._task_job.get(task_id)
-            if job_id is not None:
-                self._jobs[job_id].pending.discard(task_id)
-        self._steal_exports[export_id] = {
-            "thief": record["thief"], "acked": False, "specs": specs,
-            "remaining": remaining}
-        self._next_export_id = max(self._next_export_id,
-                                   export_id + 1)
-        return True
+def _lease_row(lease: _Lease) -> List:
+    return [lease.task_id, lease.lease_id, lease.worker, lease.site_id]
 
-    def _replay_steal_export_abort(self, record: Dict) -> bool:
-        export = self._steal_exports.pop(record["export_id"], None)
-        if export is None:
-            return False
-        for task_id in sorted(export["remaining"]):
-            self._exported_tasks.pop(task_id, None)
-            if (task_id in self._completed or task_id in self._assigned
-                    or self.engine.is_pending(task_id)):
-                continue
-            self._requeue(task_id)
-        return True
 
-    def _replay_steal_task_done(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        if task_id in self._completed:
-            return False
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            self._release_lease(lease)
-        elif self.engine.is_pending(task_id):
-            self.engine.remove_task(self._table[task_id])
-        self._completed.add(task_id)
-        job = self._jobs[self._task_job[task_id]]
-        job.pending.discard(task_id)
-        job.completed.add(task_id)
-        origin = self._foreign_jobs.get(job.job_id)
-        if origin is not None:
-            self._steal_outbox.setdefault(origin, []).append(task_id)
-        return True
+def _wal_fields(record: Dict, *fields: str) -> List:
+    """The WAL-mode-only fields of ``record``, in order."""
+    if any(record.get(field) is None for field in fields):
+        raise ServiceError(
+            f"{record['event']} record lacks {'/'.join(fields)} — this "
+            f"event log was not written in WAL mode")
+    return [record[field] for field in fields]
 
-    def _replay_steal_forwarded(self, record: Dict) -> bool:
-        delivered = set(record["task_ids"])
-        changed = False
-        for origin in list(self._steal_outbox):
-            queue = self._steal_outbox[origin]
-            kept = [tid for tid in queue if tid not in delivered]
-            if len(kept) == len(queue):
-                continue
-            changed = True
-            if kept:
-                self._steal_outbox[origin] = kept
-            else:
-                del self._steal_outbox[origin]
-        return changed
 
-    def _replay_requeue(self, record: Dict) -> bool:
-        task_id = record["task_id"]
-        lease = self._assigned.get(task_id)
-        if lease is not None:
-            # Disconnect requeues have no separate release record.
-            self._release_lease(lease)
-        if (task_id in self._completed
-                or self.engine.is_pending(task_id)):
-            return lease is not None
-        self._requeue(task_id)
-        return True
+def _submitted(record: Dict) -> List[Tuple[int, Task]]:
+    task_ids, specs = _wal_fields(record, "task_ids", "specs")
+    return [(record["job_id"], _spec_task(task_id, spec))
+            for task_id, spec in zip(task_ids, specs)]
 
-    def _replay_delta(self, record: Dict) -> bool:
-        if "added_ids" not in record:
-            raise ServiceError(
-                "delta record lacks id lists — this event log was "
-                "not written in WAL mode")
-        site_id = record["site"]
-        self.ensure_site(site_id)
-        for fid in record["removed_ids"]:
-            self.engine.file_removed(site_id, fid)
-        for fid in record["added_ids"]:
-            self.engine.file_added(site_id, fid)
-        for fid in record["referenced_ids"]:
-            self.engine.file_referenced(site_id, fid)
-        return True
+
+def _recorded_lease(service: SchedulerService,
+                    record: Dict) -> Optional[_Lease]:
+    lease = service._leases.get(record["lease_id"])
+    if lease is None or lease.task_id != record["task_id"]:
+        return None
+    return lease
+
+
+#: WAL record kind -> ``(service, record)`` re-applying it through the
+#: kind's transition.  The transitions carry the idempotency guards
+#: (a record that already took effect changes nothing), so folding a
+#: record twice is harmless.  ``decision`` spans and unknown kinds
+#: carry no state and are absent.
+_REPLAY: Dict[str, Callable[[SchedulerService, Dict], object]] = {
+    "submit": lambda svc, rec: svc._admit(_submitted(rec)),
+    "assign": lambda svc, rec: svc._grant_lease(
+        rec["task_id"], rec["lease_id"], rec["worker"], rec["site"],
+        replica=bool(rec.get("replica"))),
+    "complete": lambda svc, rec: svc._complete(rec["task_id"]),
+    "steal-task-done": lambda svc, rec: svc._complete(rec["task_id"]),
+    "lease-expire": lambda svc, rec: svc._drop_lease(
+        _recorded_lease(svc, rec)) is not None,
+    # A disconnect requeue has no separate release record: it drops
+    # the task's primary lease.  After a lease-expire the task has
+    # none left and the record is a no-op.
+    "requeue": lambda svc, rec: svc._drop_lease(
+        svc._assigned.get(rec["task_id"])) is not None,
+    "delta": lambda svc, rec: svc._apply_delta(
+        rec["site"], *_wal_fields(rec, "added_ids", "removed_ids",
+                                  "referenced_ids")),
+    "steal-export": lambda svc, rec: svc._detach_export(
+        rec["export_id"], rec["thief"], rec["specs"]),
+    "steal-export-ack": lambda svc, rec: svc._ack_export(
+        rec["export_id"]),
+    "steal-export-abort": lambda svc, rec: svc._drop_export(
+        rec["export_id"]) is not None,
+    "steal-import": lambda svc, rec: svc._hold_import(
+        rec["origin"], rec["export_id"], rec["specs"]),
+    "steal-import-commit": lambda svc, rec: svc._commit_import(
+        rec["origin"], rec["export_id"]) is not None,
+    "steal-import-abort": lambda svc, rec: svc._drop_import(
+        rec["origin"], rec["export_id"]),
+    "steal-forwarded": lambda svc, rec: svc._trim_outbox(
+        rec["origin"], rec["task_ids"]),
+}

@@ -5,8 +5,9 @@ Every counter behind the ``STATS`` request now lives in a
 ``/metrics`` sees exactly what ``STATS`` reports), but the *wire
 shape* of the snapshot is unchanged — :meth:`ServeStats.snapshot`
 builds the same plain dict as before, byte-compatible with protocol
-v2.  The old attribute API (``stats.completions += 1``) keeps working
-through properties that read and write the underlying metrics.
+v2.  Counters are bumped directly (``stats.counters["completions"]
+.inc()``); the attribute API (``stats.completions``) reads them as
+plain ints.
 
 :class:`~repro.obs.metrics.LatencyHistogram` used to be defined here;
 it is promoted to :mod:`repro.obs.metrics` (with O(1)
@@ -100,20 +101,7 @@ _LIVE_GAUGES = {
 
 
 def _counter_property(attr: str) -> property:
-    def getter(self: "ServeStats") -> int:
-        return int(self._counters[attr].value)
-
-    def setter(self: "ServeStats", value) -> None:
-        # Legacy ``stats.completions += 1`` support: the augmented
-        # assignment reads the property then writes the new total.
-        counter = self._counters[attr]
-        delta = float(value) - counter.value
-        if delta < 0:
-            raise ValueError(f"{attr} is monotonic; cannot go from "
-                             f"{counter.value:g} to {value}")
-        counter.inc(delta)
-
-    return property(getter, setter)
+    return property(lambda self: int(self.counters[attr].value))
 
 
 class _SiteCounters:
@@ -149,11 +137,8 @@ class ServeStats:
         reg.gauge("repro_uptime_seconds",
                   "Seconds since the stats epoch",
                   callback=lambda: self.uptime)
-        self.decision_latency = reg.histogram(
-            "repro_decision_latency_seconds",
-            "Scheduling decision latency (PolicyEngine.choose)")
-        #: The same decisions, labeled by scheduling metric, so the
-        #: decision kernel's latency profile is visible per policy in
+        #: Scheduling decision latency, labeled by scheduling metric
+        #: so the decision kernel's profile is visible per policy in
         #: ``/metrics`` and ``repro top`` (a daemon only runs one
         #: metric, but dashboards aggregating several daemons need the
         #: label to keep the series apart).
@@ -161,7 +146,13 @@ class ServeStats:
             "repro_scheduler_decision_seconds",
             "Decision-kernel latency by scheduling metric",
             labelnames=("metric",))
-        self._counters: Dict[str, Counter] = {
+        #: The daemon's own metric child, which ``STATS`` reports as
+        #: ``decision_latency``; an empty stand-in until the first
+        #: decision names the metric.
+        self.decision_latency = LatencyHistogram()
+        #: One monotonic counter per ``_COUNTERS`` attribute; bump
+        #: with ``counters[attr].inc(n)``.
+        self.counters: Dict[str, Counter] = {
             attr: reg.counter(name, help_text)
             for attr, (name, help_text) in _COUNTERS.items()}
         self._peak_queue_depth = reg.gauge(
@@ -221,11 +212,14 @@ class ServeStats:
     def record_assignment(self, site_id: int, latency_s: float,
                           overlap_hit: bool,
                           metric: Optional[str] = None) -> None:
-        self._counters["assignments"].inc()
-        self.decision_latency.record(latency_s)
+        """Count one assignment; its decision latency is recorded in
+        the ``metric`` child (and reported as ``decision_latency``)
+        when the scheduling metric is given."""
+        self.counters["assignments"].inc()
         if metric is not None:
-            self.scheduler_decision.labels(metric=metric).record(
-                latency_s)
+            self.decision_latency = self.scheduler_decision.labels(
+                metric=metric)
+            self.decision_latency.record(latency_s)
         site = self._site(site_id)
         site.assignment_counter.inc()
         if overlap_hit:
@@ -246,19 +240,19 @@ class ServeStats:
 
     def record_batch(self, granted: int) -> None:
         """One answered batched pull that granted ``granted`` tasks."""
-        self._counters["batch_requests"].inc()
-        self._counters["batched_assignments"].inc(granted)
+        self.counters["batch_requests"].inc()
+        self.counters["batched_assignments"].inc(granted)
         self._batch_size_counter.labels(size=str(granted)).inc()
         self._batch_sizes[granted] = self._batch_sizes.get(granted, 0) + 1
 
     def record_delta(self, added: int, removed: int, referenced: int,
                      duplicate_adds: int = 0,
                      duplicate_removes: int = 0) -> None:
-        self._counters["files_added"].inc(added)
-        self._counters["files_removed"].inc(removed)
-        self._counters["files_referenced"].inc(referenced)
-        self._counters["delta_duplicate_adds"].inc(duplicate_adds)
-        self._counters["delta_duplicate_removes"].inc(duplicate_removes)
+        self.counters["files_added"].inc(added)
+        self.counters["files_removed"].inc(removed)
+        self.counters["files_referenced"].inc(referenced)
+        self.counters["delta_duplicate_adds"].inc(duplicate_adds)
+        self.counters["delta_duplicate_removes"].inc(duplicate_removes)
 
     def bind_live(self, **callbacks: Callable[[], float]) -> None:
         """Register live callback gauges (queue depth, leases, ...).

@@ -106,14 +106,13 @@ def test_scrape_endpoint_under_live_load():
         assert families["repro_completions_total"].value() == \
             report["stats"]["completions"] == len(job)
         assert families["repro_queue_depth"].value() == 0.0
-        assert families["repro_decision_latency_seconds"].value(
-            suffix="_count") == report["stats"]["assignments"]
-        # The decision kernel's per-metric latency histogram is
-        # scraped too, labeled with the policy the daemon runs.
+        # The decision latency histogram is labeled with the policy
+        # the daemon runs; STATS reports that same child.
         assert "repro_scheduler_decision_seconds" in families
         assert families["repro_scheduler_decision_seconds"].value(
             labels={"metric": "combined"}, suffix="_count",
-        ) == report["stats"]["assignments"]
+        ) == report["stats"]["decision_latency"]["count"] \
+            == report["stats"]["assignments"]
         assert tracer.recorded == report["stats"]["assignments"]
         await obs.stop()
         await server.stop()

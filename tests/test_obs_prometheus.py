@@ -137,10 +137,10 @@ def test_serve_stats_registry_renders_parseable_exposition():
     """The real registry the daemon exposes passes the strict parser,
     and the Prometheus numbers agree with the STATS snapshot."""
     stats = ServeStats()
-    stats.jobs_submitted += 1
-    stats.tasks_submitted += 5
-    stats.record_assignment(0, 120e-6, overlap_hit=True)
-    stats.record_assignment(1, 80e-6, overlap_hit=False)
+    stats.counters["jobs_submitted"].inc()
+    stats.counters["tasks_submitted"].inc(5)
+    stats.record_assignment(0, 120e-6, overlap_hit=True, metric="rest")
+    stats.record_assignment(1, 80e-6, overlap_hit=False, metric="rest")
     stats.record_delta(added=3, removed=1, referenced=7)
     families = parse(render(stats.registry))
     snap = stats.snapshot()
@@ -151,6 +151,6 @@ def test_serve_stats_registry_renders_parseable_exposition():
         {"site": "0"}) == 1.0
     assert families["repro_site_overlap_hit_rate"].value(
         {"site": "1"}) == 0.0
-    assert families["repro_decision_latency_seconds"].value(
-        suffix="_count") == 2.0
+    assert families["repro_scheduler_decision_seconds"].value(
+        {"metric": "rest"}, suffix="_count") == 2.0
     assert families["repro_files_added_total"].value() == 3.0

@@ -48,17 +48,6 @@ def test_decode_rejects_oversized_line():
         protocol.decode_line(line)
 
 
-def test_deprecated_shims_still_work_but_warn():
-    """``encode``/``decode`` survive for protocol-v2 era callers; they
-    delegate to the ``_line`` functions and warn once per call site."""
-    message = {"type": protocol.TASK, "task_id": 3}
-    with pytest.warns(DeprecationWarning, match="encode"):
-        line = protocol.encode(message)
-    assert line == protocol.encode_line(message)
-    with pytest.warns(DeprecationWarning, match="decode"):
-        assert protocol.decode(line) == message
-
-
 # -- codec negotiation -------------------------------------------------------
 
 def test_negotiate_codec_picks_first_mutual_offer():
@@ -148,13 +137,13 @@ def test_stats_snapshot_and_rendering():
     clock_value = [0.0]
     stats = ServeStats(clock=lambda: clock_value[0])
     clock_value[0] = 2.0
-    stats.jobs_submitted += 1
-    stats.tasks_submitted += 10
+    stats.counters["jobs_submitted"].inc()
+    stats.counters["tasks_submitted"].inc(10)
     stats.record_queue_depth(10)
     stats.record_assignment(0, 100e-6, overlap_hit=True)
     stats.record_assignment(0, 200e-6, overlap_hit=False)
     stats.record_assignment(1, 50e-6, overlap_hit=True)
-    stats.completions += 3
+    stats.counters["completions"].inc(3)
     stats.record_delta(added=4, removed=1, referenced=9)
     snap = stats.snapshot(queue_depth=7, outstanding=2,
                           parked_workers=1, draining=False)
