@@ -27,43 +27,81 @@ task ids and missing-count → task ids — maintained in step with
 candidate retrieval without scanning (``overlap``/``rest`` weights are
 monotone in those integer keys); see ``docs/performance.md``.
 
-``totalRest`` decomposes as::
+``totalRest = Σ_{t pending} rest(|t| - ov_t)`` depends on a task only
+through its missing count, so it is kept as a histogram of missing
+counts, split in two:
 
-    totalRest = Σ_{t pending} rest(|t| - ov_t)
-              = Σ_{t pending} rest(|t|)                   # site-independent
-              + Σ_{t: ov_t > 0} rest(|t| - ov_t) - rest(|t|)   # per site
+* a site-independent base, the number of pending tasks of each size
+  ``|t|``, which changes only when the pending set changes, and
+* per site, a correction that moves each overlapped task from ``|t|``
+  to ``|t| - ov_t``: one overlap change is two int dict updates.
 
-The first sum (``rest_base``) changes only when the pending set
-changes; the per-site correction changes only when an overlap count
-changes.
+:meth:`OverlapIndex.total_rest` sums ``Σ count[m]·rest(m)`` exactly,
+as one integer fraction over the distinct ``m`` present, and rounds it
+once, so the value never depends on update order; it is cached per
+site until the pending set or that site's overlaps change.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Optional, Set
 
 from ..grid.job import Job, Task
 from ..grid.storage import SiteStorage
-from fractions import Fraction
 
 from .candidates import CandidateBuckets
-from .metrics import TaskView, rest_weight, rest_weight_exact
+from .metrics import TaskView, rest_weight
+
+
+def _bump(histogram: Dict[int, int], key: int, delta: int) -> None:
+    """Add ``delta`` to ``histogram[key]``, keeping no zero entries."""
+    count = histogram.get(key, 0) + delta
+    if count:
+        histogram[key] = count
+    else:
+        del histogram[key]
+
+
+def _exact_rest_sum(multiple: int, *histograms: Dict[int, int]) -> float:
+    """``Σ count·rest(m)`` over missing-count histograms, rounded once.
+
+    The exact sum is ``N / L`` with ``L`` the lcm of ``multiple`` and
+    every nonzero ``m`` present (``rest(0) = 2``); int/int true division
+    is correctly rounded, so this equals ``float`` of the same sum of
+    :func:`~repro.core.metrics.rest_weight_exact` terms.  ``multiple``
+    is a common multiple of keys the caller already knows, so only the
+    other keys pay for an lcm step.
+    """
+    denominator = multiple
+    for histogram in histograms:
+        for m in histogram:
+            if m and denominator % m:
+                denominator = math.lcm(denominator, m)
+    numerator = 0
+    for histogram in histograms:
+        for m, count in histogram.items():
+            numerator += count * (denominator // m if m else 2 * denominator)
+    return numerator / denominator
 
 
 class _SiteState:
     """Per-site incremental counters."""
 
     __slots__ = ("storage", "overlap", "refsum", "total_refsum",
-                 "rest_correction", "by_overlap", "by_missing")
+                 "missing_correction", "cached_total_rest", "by_overlap",
+                 "by_missing")
 
     def __init__(self, storage: SiteStorage):
         self.storage = storage
         self.overlap: Dict[int, int] = {}
         self.refsum: Dict[int, float] = {}
         self.total_refsum = 0.0
-        #: Exact rational: Sum over overlapped tasks of
-        #: rest(missing) - rest(|t|).  See metrics.rest_weight_exact.
-        self.rest_correction = Fraction(0)
+        #: missing count -> net number of overlapped tasks moved there
+        #: from their size |t| (negative at sizes); no zero entries.
+        self.missing_correction: Dict[int, int] = {}
+        #: totalRest for the current histograms, or None once stale.
+        self.cached_total_rest: Optional[float] = None
         #: Candidate buckets over the *nonzero-overlap* tasks (exactly
         #: the key set of ``overlap``), keyed two ways for the two
         #: bucketable metrics: overlap count (``overlap`` metric walks
@@ -85,6 +123,12 @@ class _SiteState:
         self.by_overlap.remove(tid)
         self.by_missing.remove(tid)
 
+    def move_missing(self, source: int, target: int) -> None:
+        """Move one task from missing count ``source`` to ``target``."""
+        _bump(self.missing_correction, source, -1)
+        _bump(self.missing_correction, target, 1)
+        self.cached_total_rest = None
+
 
 class OverlapIndex:
     """Maintains overlap cardinalities and reference sums incrementally."""
@@ -95,7 +139,10 @@ class OverlapIndex:
         self._file_to_tasks: Dict[int, Set[int]] = {}
         self._pending: Set[int] = set()
         self._sites: Dict[int, _SiteState] = {}
-        self._rest_base = Fraction(0)
+        #: |t| -> number of pending tasks of that size (no zero entries).
+        self._size_counts: Dict[int, int] = {}
+        #: lcm of the sizes in ``_size_counts``; None once that set changes.
+        self._sizes_lcm: Optional[int] = None
         for task in (job if tasks is None else tasks):
             self.add_task(task)
 
@@ -127,11 +174,14 @@ class OverlapIndex:
         if tid in self._pending:
             raise ValueError(f"task {tid} already pending")
         self._pending.add(tid)
-        self._rest_base += rest_weight_exact(task.num_files)
+        if task.num_files not in self._size_counts:
+            self._sizes_lcm = None
+        _bump(self._size_counts, task.num_files, 1)
         for fid in task.files:
             self._file_to_tasks.setdefault(fid, set()).add(tid)
         # Fold in any storage that already holds some of its files.
         for state in self._sites.values():
+            state.cached_total_rest = None
             ov = state.storage.overlap(task.files)
             if ov:
                 state.overlap[tid] = ov
@@ -140,9 +190,7 @@ class OverlapIndex:
                           for fid in task.files if fid in state.storage)
                 state.refsum[tid] = ref
                 state.total_refsum += ref
-                state.rest_correction += (
-                    rest_weight_exact(task.num_files - ov)
-                    - rest_weight_exact(task.num_files))
+                state.move_missing(task.num_files, task.num_files - ov)
 
     def remove_task(self, task: Task) -> None:
         """Stop tracking a task (it was assigned or completed)."""
@@ -150,7 +198,9 @@ class OverlapIndex:
         if tid not in self._pending:
             raise KeyError(f"task {tid} is not pending")
         self._pending.remove(tid)
-        self._rest_base -= rest_weight_exact(task.num_files)
+        _bump(self._size_counts, task.num_files, -1)
+        if task.num_files not in self._size_counts:
+            self._sizes_lcm = None
         for fid in task.files:
             referers = self._file_to_tasks.get(fid)
             if referers is not None:
@@ -158,13 +208,12 @@ class OverlapIndex:
                 if not referers:
                     del self._file_to_tasks[fid]
         for state in self._sites.values():
+            state.cached_total_rest = None
             ov = state.overlap.pop(tid, 0)
             if ov:
                 state.bucket_remove(tid)
                 state.total_refsum -= state.refsum.pop(tid, 0.0)
-                state.rest_correction -= (
-                    rest_weight_exact(task.num_files - ov)
-                    - rest_weight_exact(task.num_files))
+                state.move_missing(task.num_files - ov, task.num_files)
 
     # -- storage listeners ---------------------------------------------
     def _on_insert(self, state: _SiteState, fid: int) -> None:
@@ -180,8 +229,7 @@ class OverlapIndex:
                 state.bucket_move(tid, size, old + 1)
             else:
                 state.bucket_add(tid, size, 1)
-            state.rest_correction += (rest_weight_exact(size - old - 1)
-                                      - rest_weight_exact(size - old))
+            state.move_missing(size - old, size - old - 1)
             if ref:
                 state.refsum[tid] = state.refsum.get(tid, 0.0) + ref
                 state.total_refsum += ref
@@ -196,8 +244,7 @@ class OverlapIndex:
         for tid in tasks:
             size = self.job[tid].num_files
             old = state.overlap[tid]
-            state.rest_correction += (rest_weight_exact(size - old + 1)
-                                      - rest_weight_exact(size - old))
+            state.move_missing(size - old, size - old + 1)
             if old == 1:
                 del state.overlap[tid]
                 state.bucket_remove(tid)
@@ -251,11 +298,16 @@ class OverlapIndex:
     def total_rest(self, site_id: int) -> float:
         """totalRest over the pending set for this site.
 
-        Maintained exactly (rationals) and rounded once here, so the
-        value never depends on update order.
+        Summed exactly from the missing-count histogram and rounded
+        once, so the value never depends on update order.
         """
-        return float(self._rest_base
-                     + self._sites[site_id].rest_correction)
+        state = self._sites[site_id]
+        if state.cached_total_rest is None:
+            if self._sizes_lcm is None:
+                self._sizes_lcm = math.lcm(*self._size_counts)
+            state.cached_total_rest = _exact_rest_sum(
+                self._sizes_lcm, self._size_counts, state.missing_correction)
+        return state.cached_total_rest
 
     def total_refsum(self, site_id: int) -> float:
         """totalRef over the pending set for this site."""

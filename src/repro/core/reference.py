@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import typing
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..grid.job import Job, Task
@@ -101,8 +102,7 @@ class NaiveWorkerCentricScheduler(BaseScheduler):
         overlaps: Dict[int, int] = {}
         refsums: Dict[int, float] = {}
         total_ref = 0.0
-        # exact rational, like the indexed scheduler (tie stability)
-        from fractions import Fraction
+        # exact, like the indexed scheduler's integer sum (tie stability)
         total_rest_exact = Fraction(0)
         for task in self._pending.values():
             overlap = 0

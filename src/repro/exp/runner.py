@@ -45,6 +45,10 @@ class ExperimentResult:
     #: zero for policies that don't report them).
     decisions: int
     tasks_scored: int
+    #: Flow-rate computations, and how many the network's rate cache
+    #: answered without water-filling.
+    rate_lookups: int
+    rate_cache_hits: int
     #: The trace bus (records kept only when config.keep_trace).
     trace: TraceBus
 
@@ -170,6 +174,8 @@ def run_experiment(config: ExperimentConfig,
         site_stats=tuple(site.data_server.stats for site in grid.sites),
         decisions=getattr(scheduler, "decisions", 0),
         tasks_scored=getattr(scheduler, "tasks_scored", 0),
+        rate_lookups=grid.network.rate_lookups,
+        rate_cache_hits=grid.network.rate_cache_hits,
         trace=grid.trace,
     )
 
